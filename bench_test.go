@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -545,11 +546,39 @@ func BenchmarkAnnotate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := annotate.New(m, corpus.DBLPIngestConfig(e.DS.Data.Schema), annotate.Options{})
+	a, err := annotate.NewWithIngester(m, e.DS.Ingester, annotate.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	text := e.DS.RawDocs[0].Text
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Annotate("bench", text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnnotatePage measures annotation of a 16-document page,
+// the largest page of the annotate workload: one ingestion pass over
+// the page plus one link per distinct surface.
+func BenchmarkAnnotatePage(b *testing.B) {
+	e := benchEnv(b)
+	m, err := shine.New(e.DS.Data.Graph, e.DS.Data.Schema.Author, e.Paths10,
+		e.DS.Corpus, shine.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := annotate.NewWithIngester(m, e.DS.Ingester, annotate.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := make([]string, 16)
+	for i := range parts {
+		parts[i] = e.DS.RawDocs[i%len(e.DS.RawDocs)].Text
+	}
+	text := strings.Join(parts, " ")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Annotate("bench", text); err != nil {

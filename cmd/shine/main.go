@@ -422,11 +422,16 @@ func cmdPaths(args []string) error {
 
 // loadCorpus reads and ingests a document file against a graph.
 func loadCorpus(g *hin.Graph, d *hin.DBLPSchema, docsPath string) (*corpus.Corpus, error) {
-	raws, err := loadDocs(docsPath)
+	ing, err := corpus.NewIngester(g, corpus.DBLPIngestConfig(d))
 	if err != nil {
 		return nil, err
 	}
-	ing, err := corpus.NewIngester(g, corpus.DBLPIngestConfig(d))
+	return loadCorpusWith(ing, docsPath)
+}
+
+// loadCorpusWith is loadCorpus through a caller's ingester.
+func loadCorpusWith(ing *corpus.Ingester, docsPath string) (*corpus.Corpus, error) {
+	raws, err := loadDocs(docsPath)
 	if err != nil {
 		return nil, err
 	}
@@ -670,7 +675,12 @@ func cmdAnnotate(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := loadCorpus(g, d, *docsPath)
+	// One ingester reads the training documents and the input text.
+	ing, err := corpus.NewIngester(g, corpus.DBLPIngestConfig(d))
+	if err != nil {
+		return err
+	}
+	c, err := loadCorpusWith(ing, *docsPath)
 	if err != nil {
 		return err
 	}
@@ -705,7 +715,7 @@ func cmdAnnotate(args []string) error {
 		}
 	}
 
-	a, err := annotate.New(m, corpus.DBLPIngestConfig(d), annotate.Options{MinPosterior: *minPosterior})
+	a, err := annotate.NewWithIngester(m, ing, annotate.Options{MinPosterior: *minPosterior})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"shine/internal/annotate"
-	"shine/internal/corpus"
 	"shine/internal/metapath"
 	"shine/internal/shine"
 	"shine/internal/synth"
@@ -40,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	a, err := annotate.New(m, corpus.DBLPIngestConfig(d), annotate.Options{})
+	a, err := annotate.NewWithIngester(m, ds.Ingester, annotate.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ package annotate
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
@@ -59,24 +58,35 @@ type Options struct {
 }
 
 // New builds an annotator from a linked-up model and the ingestion
-// configuration of its network's schema. The mention dictionary is
-// built from the names of all entity-type objects.
+// configuration of its network's schema, with an ingester of its own.
+// Callers that already hold an ingester over the model's graph should
+// share it through NewWithIngester.
 func New(m *shine.Model, cfg corpus.IngestConfig, opts Options) (*Annotator, error) {
-	if opts.MinPosterior < 0 || opts.MinPosterior >= 1 {
-		return nil, fmt.Errorf("annotate: MinPosterior %v outside [0, 1)", opts.MinPosterior)
-	}
 	ing, err := corpus.NewIngester(m.Graph(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	dict := textproc.NewDictionary()
+	return NewWithIngester(m, ing, opts)
+}
+
+// NewWithIngester builds an annotator that ingests text with ing,
+// which must have been built over the model's graph. The mention
+// dictionary is built from the names of all entity-type objects.
+func NewWithIngester(m *shine.Model, ing *corpus.Ingester, opts Options) (*Annotator, error) {
+	if opts.MinPosterior < 0 || opts.MinPosterior >= 1 {
+		return nil, fmt.Errorf("annotate: MinPosterior %v outside [0, 1)", opts.MinPosterior)
+	}
 	g := m.Graph()
+	if ing == nil || ing.Graph() != g {
+		return nil, fmt.Errorf("annotate: ingester is not built over the model's graph")
+	}
 	entityType, err := entityTypeOf(m)
 	if err != nil {
 		return nil, err
 	}
+	dict := textproc.NewDictionary()
 	for _, e := range g.ObjectsOfType(entityType) {
-		dict.Add(stripSuffix(g.Name(e)), struct{}{})
+		dict.Add(corpus.CanonicalSurface(g.Name(e)), struct{}{})
 	}
 	return &Annotator{model: m, ing: ing, mentions: dict, minPosterior: opts.MinPosterior}, nil
 }
@@ -91,23 +101,6 @@ func entityTypeOf(m *shine.Model) (hin.TypeID, error) {
 	return paths[0].StartType(m.Graph().Schema()), nil
 }
 
-func stripSuffix(name string) string {
-	fields := strings.Fields(name)
-	if n := len(fields); n > 1 {
-		allDigits := true
-		for _, c := range fields[n-1] {
-			if c < '0' || c > '9' {
-				allDigits = false
-				break
-			}
-		}
-		if allDigits {
-			fields = fields[:n-1]
-		}
-	}
-	return strings.Join(fields, " ")
-}
-
 // Annotate detects every entity mention in text and links each one
 // using the full document as context. Mentions whose best posterior
 // falls below MinPosterior are omitted. Annotations are returned in
@@ -116,18 +109,25 @@ func (a *Annotator) Annotate(id, text string) ([]Annotation, error) {
 	return a.AnnotateContext(context.Background(), id, text)
 }
 
-// AnnotateContext is Annotate under a request context: cancellation
-// is checked before each detected mention and inside each link (see
-// Model.LinkContext), so a canceled request aborts after the current
-// mention rather than annotating the rest of the text.
+// AnnotateContext is Annotate under a request context. The text is
+// tokenized, dictionary-scanned and stemmed once; each mention's
+// document is derived from that one pass, and each distinct surface
+// is linked once: equal surfaces give documents that differ only in
+// ID, which linking does not read.
+// Cancellation is checked before each detected mention and inside
+// each link (see Model.LinkContext), so a canceled request aborts
+// after the current mention rather than annotating the rest of the
+// text.
 func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Annotation, error) {
 	tokens := textproc.Tokenize(text)
 	matches := a.mentions.FindAll(tokens)
 	if len(matches) == 0 {
 		return nil, nil
 	}
+	page := a.ing.IngestTokens(tokens)
 	g := a.model.Graph()
 
+	linked := make(map[string]shine.Result, len(matches))
 	var out []Annotation
 	for mi, match := range matches {
 		if err := ctx.Err(); err != nil {
@@ -136,12 +136,16 @@ func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Ann
 		start := tokens[match.TokenStart].Start
 		end := tokens[match.TokenEnd-1].End
 		surface := text[start:end] // as written, punctuation included
-		doc := a.ing.Ingest(fmt.Sprintf("%s#%d", id, mi), surface, hin.NoObject, text)
-		res, err := a.model.LinkContext(ctx, doc)
-		if err != nil {
-			// Surface forms come from entity names, so candidates
-			// always exist; any error is a real failure.
-			return nil, fmt.Errorf("annotate: linking %q: %w", surface, err)
+		res, ok := linked[surface]
+		if !ok {
+			doc := page.Document(fmt.Sprintf("%s#%d", id, mi), surface, hin.NoObject)
+			var err error
+			if res, err = a.model.LinkContext(ctx, doc); err != nil {
+				// Surface forms come from entity names, so candidates
+				// always exist; any error is a real failure.
+				return nil, fmt.Errorf("annotate: linking %q: %w", surface, err)
+			}
+			linked[surface] = res
 		}
 		best := res.Candidates[0]
 		if best.Posterior < a.minPosterior {

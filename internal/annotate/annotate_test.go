@@ -172,3 +172,27 @@ func TestNewAnnotatorValidation(t *testing.T) {
 		t.Error("negative MinPosterior accepted")
 	}
 }
+
+func TestNewWithIngesterValidation(t *testing.T) {
+	d, _, _, m := annotateFixture(t)
+	if _, err := NewWithIngester(m, nil, Options{}); err == nil {
+		t.Error("nil ingester accepted")
+	}
+	_, other, _, _ := annotateFixture(t)
+	ing, err := corpus.NewIngester(other, corpus.DBLPIngestConfig(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWithIngester(m, ing, Options{}); err == nil {
+		t.Error("ingester over a different graph accepted")
+	}
+	if ing, err = corpus.NewIngester(m.Graph(), corpus.DBLPIngestConfig(d)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWithIngester(m, ing, Options{MinPosterior: 1}); err == nil {
+		t.Error("MinPosterior 1 accepted")
+	}
+	if _, err := NewWithIngester(m, ing, Options{}); err != nil {
+		t.Errorf("ingester over the model's graph rejected: %v", err)
+	}
+}

@@ -64,13 +64,17 @@ func NewDocument(id, mention string, gold hin.ObjectID, objects []hin.ObjectID) 
 	for _, o := range objects {
 		counts[o]++
 	}
-	d := &Document{ID: id, Mention: mention, Gold: gold}
-	d.Objects = make([]ObjectCount, 0, len(counts))
+	return &Document{ID: id, Mention: mention, Gold: gold, Objects: sortedCounts(counts)}
+}
+
+// sortedCounts renders per-object counts as a bag sorted by object ID.
+func sortedCounts(counts map[hin.ObjectID]int) []ObjectCount {
+	out := make([]ObjectCount, 0, len(counts))
 	for o, c := range counts {
-		d.Objects = append(d.Objects, ObjectCount{Object: o, Count: c})
+		out = append(out, ObjectCount{Object: o, Count: c})
 	}
-	slices.SortFunc(d.Objects, func(a, b ObjectCount) int { return cmp.Compare(a.Object, b.Object) })
-	return d
+	slices.SortFunc(out, func(a, b ObjectCount) int { return cmp.Compare(a.Object, b.Object) })
+	return out
 }
 
 // Corpus is an ordered document collection D.

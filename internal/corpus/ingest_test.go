@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"reflect"
 	"testing"
 
 	"shine/internal/hin"
@@ -129,4 +130,34 @@ func TestIngestConfigWithoutTermAndYear(t *testing.T) {
 	if doc.TotalCount() != 1 {
 		t.Errorf("TotalCount = %d, want 1 (only SIGMOD)", doc.TotalCount())
 	}
+}
+
+// FuzzIngest: on arbitrary text and mention, the one-pass page gives
+// the single-mention oracle's Document, through both Page.Document
+// and Ingest.
+func FuzzIngest(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"Wei Wang received a Ph.D in 1999 under Richard R. Muntz.", "Wei Wang"},
+		{"wei WANG and Wei Wang at SIGMOD, VLDB 1999 data mining", "WEI wang"},
+		{"Richard R Muntz; Richard R. Muntz. SIGMOD", "Richard R. Muntz"},
+		{"SIGMOD SIGMOD vldb", "sigmod"},
+		{"", ""},
+		{"a\x80b Wei Wang 2005", "Wei Wang"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	d, g, _ := ingestGraph(f)
+	in, err := NewIngester(g, DBLPIngestConfig(d))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, text, mention string) {
+		want := in.OracleIngest("doc", mention, hin.NoObject, text)
+		if got := in.IngestPage(text).Document("doc", mention, hin.NoObject); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Document(%q, %q) = %+v, oracle = %+v", text, mention, got, want)
+		}
+		if got := in.Ingest("doc", mention, hin.NoObject, text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Ingest(%q, %q) = %+v, oracle = %+v", text, mention, got, want)
+		}
+	})
 }

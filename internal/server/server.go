@@ -214,13 +214,14 @@ type Options struct {
 }
 
 // buildServing derives one serving generation from a model: the
-// ingestion pipeline, the annotator and the loose candidate index.
+// ingestion pipeline, the annotator sharing it and the loose candidate
+// index.
 func buildServing(m *shine.Model, ingestCfg corpus.IngestConfig, entityTypeOpt hin.TypeID, minPosterior float64, snapInfo *snapshot.Info) (*serving, error) {
 	ing, err := corpus.NewIngester(m.Graph(), ingestCfg)
 	if err != nil {
 		return nil, err
 	}
-	ann, err := annotate.New(m, ingestCfg, annotate.Options{MinPosterior: minPosterior})
+	ann, err := annotate.NewWithIngester(m, ing, annotate.Options{MinPosterior: minPosterior})
 	if err != nil {
 		return nil, err
 	}

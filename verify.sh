@@ -8,12 +8,12 @@ go build ./...
 go vet ./...
 go test -race ./...
 # Smoke the serving-path, offline-pipeline, snapshot, candidate-index,
-# streaming, incremental-update and centrality-backend benchmarks (one
-# iteration each) so they cannot rot between perf PRs; real numbers
-# live in BENCH_link.json, BENCH_offline.json, BENCH_snapshot.json,
-# BENCH_candidates.json, BENCH_stream.json, BENCH_incremental.json and
-# BENCH_centrality.json.
-go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality' -benchtime=1x .
+# streaming, incremental-update, centrality-backend, ingestion and
+# annotation benchmarks (one iteration each) so they cannot rot between
+# perf PRs; real numbers live in BENCH_link.json, BENCH_offline.json,
+# BENCH_snapshot.json, BENCH_candidates.json, BENCH_stream.json,
+# BENCH_incremental.json and BENCH_centrality.json.
+go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality|Ingest|Annotate' -benchtime=1x .
 # Centrality-backend contract: the four-backend comparison harness
 # (McNemar against the pagerank baseline) must keep its shape.
 go test -run TestCentralityComparisonShape ./internal/experiments/
@@ -27,12 +27,16 @@ go test -race -run 'TestMethodEnforcement|TestMetricsLifecycleSeries' ./internal
 # equivalent to (or a superset of) the brute-force oracle; the NDJSON
 # batch-line parser must never panic or accept an empty mention; the
 # delta-op parser must only ever stage patches that merge into a graph
-# passing Validate with a live degree cache.
+# passing Validate with a live degree cache; the one-pass page must
+# give every mention the single-mention ingest's document; the
+# annotator must match the per-mention annotate loop.
 go test -fuzz=FuzzReadBytes -fuzztime=5s -run=FuzzReadBytes ./internal/snapshot/
 go test -fuzz=FuzzParse -fuzztime=5s -run=FuzzParse ./internal/namematch/
 go test -fuzz=FuzzTrieLookup -fuzztime=5s -run=FuzzTrieLookup ./internal/surftrie/
 go test -fuzz=FuzzNDJSONLine -fuzztime=5s -run=FuzzNDJSONLine ./internal/server/
 go test -fuzz=FuzzDeltaPatch -fuzztime=5s -run=FuzzDeltaPatch ./internal/server/
+go test -fuzz=FuzzIngest -fuzztime=5s -run=FuzzIngest ./internal/corpus/
+go test -fuzz=FuzzAnnotate -fuzztime=5s -run=FuzzAnnotate ./internal/annotate/
 # Snapshot CLI round trip: build an artifact from a generated dataset,
 # inspect it, and link from it — the binary boot path end to end. Runs
 # once per popularity backend: inspect must report the backend that
