@@ -418,25 +418,6 @@ func BenchmarkPageRankParallel(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
-// BenchmarkPageRankReference measures the retired edge-push kernel
-// (the oracle pull is tested against); the pull kernel should beat its
-// per-iteration edge throughput.
-func BenchmarkPageRankReference(b *testing.B) {
-	e := benchEnv(b)
-	g := e.DS.Data.Graph
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		res, err := pagerank.ReferenceCompute(g, pagerank.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Iterations > 0 {
-			perIter := time.Since(start) / time.Duration(res.Iterations)
-			b.ReportMetric(float64(g.NumLinks())/perIter.Seconds(), "edges/s")
-		}
-	}
-}
-
 // BenchmarkGraphBuild measures Builder.Build — CSR construction fanned
 // out across relation pairs — on the benchmark network's edge set.
 func BenchmarkGraphBuild(b *testing.B) {
@@ -1000,38 +981,6 @@ func BenchmarkCandidatesFuzzy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trie.FuzzyCandidates(mentions[i%len(mentions)], surftrie.MaxDistance)
 	}
-}
-
-// BenchmarkWalkKernel contrasts the two walk kernels on an uncached
-// length-4 walk: "map" is the original map-backed frontier
-// (ReferenceWalk, kept as the testing oracle), "csr" the pooled dense
-// scatter-gather kernel serving production traffic. Same bits out —
-// the equivalence tests prove it — different ns/op and allocs/op.
-func BenchmarkWalkKernel(b *testing.B) {
-	e := benchEnv(b)
-	d := e.DS.Data.Schema
-	g := e.DS.Data.Graph
-	p := metapath.MustParse(d.Schema, "A-P-A-P-V")
-	entity := e.DS.Data.Groups[0].Members[0]
-
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := metapath.ReferenceWalk(g, entity, p, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		w := metapath.NewWalker(g, 0) // cache off: measure the kernel
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := w.Walk(entity, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkWalkScale measures a length-4 constrained walk as the

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"shine/internal/corpus"
@@ -9,6 +10,7 @@ import (
 	"shine/internal/metapath"
 	"shine/internal/pagerank"
 	"shine/internal/shine"
+	"shine/internal/synth"
 )
 
 // twoWangs mirrors the shine package fixture: two authors sharing a
@@ -189,12 +191,12 @@ func TestUWalkMixtureIsSubProbability(t *testing.T) {
 	}
 	mix := uw.walkMixture(ids["w1"])
 	sum := 0.0
-	for _, x := range mix {
+	mix.ForEach(func(_ int32, x float64) {
 		if x < 0 {
 			t.Fatal("negative mass")
 		}
 		sum += x
-	}
+	})
 	if sum > 1+1e-9 {
 		t.Errorf("mixture mass %v exceeds 1", sum)
 	}
@@ -202,9 +204,8 @@ func TestUWalkMixtureIsSubProbability(t *testing.T) {
 
 // TestPOPSharesModelCandidates pins the property the McNemar pairing
 // in eval.CompareLinkers depends on: a POP built over the model's own
-// CandidateSource resolves exactly the candidate set the model does,
-// for every mention — including fuzzy/custom sources the default trie
-// would not replicate.
+// CandidateSource, and VSim and UWalk over their default source,
+// resolve exactly the candidate set the model does, for every mention.
 func TestPOPSharesModelCandidates(t *testing.T) {
 	d, g, ids := twoWangs(t)
 	c := &corpus.Corpus{}
@@ -220,15 +221,32 @@ func TestPOPSharesModelCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPOP: %v", err)
 	}
-	for _, mention := range []string{"Wei Wang", "Richard R. Muntz", "Eric Martin", "Nobody Known"} {
+	// VSim and UWalk take no candidate source; their default must be
+	// the model's stock trie.
+	vs, err := NewVSim(g, d.Author)
+	if err != nil {
+		t.Fatalf("NewVSim: %v", err)
+	}
+	uw, err := NewUWalk(g, d.Author, c, 4, 0.2)
+	if err != nil {
+		t.Fatalf("NewUWalk: %v", err)
+	}
+	sources := map[string]func(string) []hin.ObjectID{
+		"POP":   pop.Candidates,
+		"VSim":  vs.cands.Candidates,
+		"UWalk": uw.cands.Candidates,
+	}
+	for _, mention := range []string{"Wei Wang", "Richard R. Muntz", "Eric Martin", "W. Wang", "Nobody Known"} {
 		want := m.CandidateSource().Candidates(mention)
-		got := pop.Candidates(mention)
-		if len(got) != len(want) {
-			t.Fatalf("mention %q: POP has %d candidates, model has %d", mention, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("mention %q candidate %d: POP %d, model %d", mention, i, got[i], want[i])
+		for name, candidates := range sources {
+			got := candidates(mention)
+			if len(got) != len(want) {
+				t.Fatalf("mention %q: %s has %d candidates, model has %d", mention, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("mention %q candidate %d: %s %d, model %d", mention, i, name, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -248,6 +266,53 @@ func TestPOPSharesModelCandidates(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("default source candidate %d: %d, model %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestUWalkDeterministic: two independently built UWalks over the
+// default synthetic DBLP network produce the same walk mixtures bit
+// for bit and link every corpus document identically. Float addition
+// is not associative, so this holds only while every hop sums each
+// object's shares in a fixed order.
+func TestUWalkDeterministic(t *testing.T) {
+	ds, err := synth.BuildDataset(synth.DefaultDBLPConfig(), synth.DefaultDocConfig())
+	if err != nil {
+		t.Fatalf("BuildDataset: %v", err)
+	}
+	g, author := ds.Data.Graph, ds.Data.Schema.Author
+	theta := shine.DefaultConfig().Theta
+	u1, err := NewUWalk(g, author, ds.Corpus, 4, theta)
+	if err != nil {
+		t.Fatalf("NewUWalk: %v", err)
+	}
+	u2, err := NewUWalk(g, author, ds.Corpus, 4, theta)
+	if err != nil {
+		t.Fatalf("NewUWalk: %v", err)
+	}
+	authors := g.ObjectsOfType(author)
+	const n = 100
+	if len(authors) < n {
+		t.Fatalf("%d authors, want at least %d", len(authors), n)
+	}
+	for k := 0; k < n; k++ {
+		e := authors[k*len(authors)/n]
+		idx1, val1 := u1.walkMixture(e).Raw()
+		idx2, val2 := u2.walkMixture(e).Raw()
+		if len(idx1) != len(idx2) {
+			t.Fatalf("author %d: mixture support %d vs %d", e, len(idx1), len(idx2))
+		}
+		for j := range idx1 {
+			if idx1[j] != idx2[j] || math.Float64bits(val1[j]) != math.Float64bits(val2[j]) {
+				t.Fatalf("author %d entry %d: (%d, %v) vs (%d, %v)", e, j, idx1[j], val1[j], idx2[j], val2[j])
+			}
+		}
+	}
+	for _, doc := range ds.Corpus.Docs {
+		e1, err1 := u1.Link(doc)
+		e2, err2 := u2.Link(doc)
+		if e1 != e2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("doc %s: Link %d (%v) vs %d (%v)", doc.ID, e1, err1, e2, err2)
 		}
 	}
 }

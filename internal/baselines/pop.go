@@ -1,6 +1,8 @@
 // Package baselines implements the two comparison systems of the
 // paper's evaluation (Section 5.2.1): the entity popularity baseline
-// POP and the vector similarity baseline VSim.
+// POP and the vector similarity baseline VSim. UWalk is the
+// unconstrained-walk variant Section 3.2 rejects. All three resolve
+// candidates through the model's surface-form trie by default.
 package baselines
 
 import (
@@ -39,13 +41,22 @@ func NewPOP(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource, op
 		return nil, err
 	}
 	if cands == nil {
-		trie, err := surftrie.Build(g, entityType)
-		if err != nil {
+		if cands, err = defaultCandidates(g, entityType); err != nil {
 			return nil, err
 		}
-		cands = trie
 	}
 	return &POP{popularity: pop, cands: cands}, nil
+}
+
+// defaultCandidates builds the candidate source a baseline uses when
+// none is supplied: the surface-form trie shine.New builds, so every
+// baseline resolves a mention to the same entities the model does.
+func defaultCandidates(g *hin.Graph, entityType hin.TypeID) (shine.CandidateSource, error) {
+	trie, err := surftrie.Build(g, entityType)
+	if err != nil {
+		return nil, err
+	}
+	return trie, nil
 }
 
 // Candidates exposes POP's candidate resolution so tests can pin it

@@ -6,8 +6,8 @@ import (
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
-	"shine/internal/namematch"
 	"shine/internal/pagerank"
+	"shine/internal/shine"
 	"shine/internal/sparse"
 )
 
@@ -21,7 +21,7 @@ import (
 // buy.
 type UWalk struct {
 	g          *hin.Graph
-	index      *namematch.Index
+	cands      shine.CandidateSource
 	popularity map[hin.ObjectID]float64
 	generic    *corpus.GenericModel
 
@@ -31,8 +31,10 @@ type UWalk struct {
 	theta float64
 	floor float64
 
-	// cache holds per-entity walk mixtures.
-	cache map[hin.ObjectID]sparse.Vector
+	// cache holds per-entity walk mixtures; hop and mix are the
+	// scratch accumulators walkMixture builds them on.
+	cache    map[hin.ObjectID]sparse.Dist
+	hop, mix *sparse.Accum
 }
 
 // NewUWalk builds the unconstrained-walk linker. steps is the walk
@@ -53,7 +55,7 @@ func NewUWalk(g *hin.Graph, entityType hin.TypeID, docs *corpus.Corpus, steps in
 	if err != nil {
 		return nil, err
 	}
-	idx, err := namematch.BuildIndex(g, entityType)
+	cands, err := defaultCandidates(g, entityType)
 	if err != nil {
 		return nil, err
 	}
@@ -63,44 +65,50 @@ func NewUWalk(g *hin.Graph, entityType hin.TypeID, docs *corpus.Corpus, steps in
 	}
 	return &UWalk{
 		g:          g,
-		index:      idx,
+		cands:      cands,
 		popularity: pop,
 		generic:    gen,
 		steps:      steps,
 		theta:      theta,
 		floor:      1e-12,
-		cache:      make(map[hin.ObjectID]sparse.Vector),
+		cache:      make(map[hin.ObjectID]sparse.Dist),
+		hop:        sparse.NewAccum(g.NumObjects()),
+		mix:        sparse.NewAccum(g.NumObjects()),
 	}, nil
 }
 
 // walkMixture averages the uniform-walk distributions after 1..steps
 // hops from e. Each hop follows every outgoing link of every relation
-// with equal probability.
-func (u *UWalk) walkMixture(e hin.ObjectID) sparse.Vector {
+// with equal probability. Like the meta-path walker, each hop expands
+// the frontier in ascending index order, so the mixture is the same
+// bit for bit on every run.
+func (u *UWalk) walkMixture(e hin.ObjectID) sparse.Dist {
 	if d, ok := u.cache[e]; ok {
 		return d
 	}
-	mix := sparse.New()
-	cur := sparse.Unit(int32(e))
+	schema := u.g.Schema()
+	cur := sparse.UnitDist(int32(e))
 	for step := 0; step < u.steps; step++ {
-		next := sparse.NewWithCapacity(cur.Len())
-		for i, mass := range cur {
+		for k := 0; k < cur.Len(); k++ {
+			i, mass := cur.At(k)
 			v := hin.ObjectID(i)
 			total := u.g.TotalDegree(v)
 			if total == 0 {
 				continue
 			}
 			share := mass / float64(total)
-			schema := u.g.Schema()
 			for rel := 0; rel < schema.NumRelations(); rel++ {
 				for _, dst := range u.g.Neighbors(hin.RelationID(rel), v) {
-					next.Add(int32(dst), share)
+					u.hop.Add(int32(dst), share)
 				}
 			}
 		}
-		cur = next
-		mix.AccumScaled(cur, 1/float64(u.steps))
+		cur = u.hop.Dist()
+		u.hop.Reset()
+		u.mix.AddScaled(cur, 1/float64(u.steps))
 	}
+	mix := u.mix.Dist()
+	u.mix.Reset()
 	u.cache[e] = mix
 	return mix
 }
@@ -108,7 +116,7 @@ func (u *UWalk) walkMixture(e hin.ObjectID) sparse.Vector {
 // Link scores every candidate with the same joint form as SHINE but
 // the unconstrained walk mixture as Pe.
 func (u *UWalk) Link(doc *corpus.Document) (hin.ObjectID, error) {
-	cands := u.index.Candidates(doc.Mention)
+	cands := u.cands.Candidates(doc.Mention)
 	if len(cands) == 0 {
 		return hin.NoObject, fmt.Errorf("baselines: mention %q has no candidates", doc.Mention)
 	}

@@ -2,10 +2,11 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
-	"shine/internal/namematch"
+	"shine/internal/shine"
 	"shine/internal/sparse"
 )
 
@@ -21,27 +22,30 @@ import (
 type VSim struct {
 	g          *hin.Graph
 	entityType hin.TypeID
-	index      *namematch.Index
+	cands      shine.CandidateSource
 	types      map[hin.TypeID]bool
 
 	// profiles caches the per-entity profile vector, built lazily:
 	// only candidates that actually occur are profiled.
-	profiles map[hin.ObjectID]sparse.Vector
+	profiles map[hin.ObjectID]sparse.Dist
+	// acc is the scratch accumulator profiles and contexts are built on.
+	acc *sparse.Accum
 }
 
 // NewVSim builds the baseline over the given graph for entities of
 // entityType, using only profile/context objects of the given types.
 // Passing no types means all types are used.
 func NewVSim(g *hin.Graph, entityType hin.TypeID, types ...hin.TypeID) (*VSim, error) {
-	idx, err := namematch.BuildIndex(g, entityType)
+	cands, err := defaultCandidates(g, entityType)
 	if err != nil {
 		return nil, err
 	}
 	v := &VSim{
 		g:          g,
 		entityType: entityType,
-		index:      idx,
-		profiles:   make(map[hin.ObjectID]sparse.Vector),
+		cands:      cands,
+		profiles:   make(map[hin.ObjectID]sparse.Dist),
+		acc:        sparse.NewAccum(g.NumObjects()),
 	}
 	if len(types) > 0 {
 		v.types = make(map[hin.TypeID]bool, len(types))
@@ -61,11 +65,10 @@ func (v *VSim) wantType(t hin.TypeID) bool {
 // via entity -> record -> object two-hop paths (e.g. author -> paper
 // -> {coauthor, venue, term, year}), restricted to the selected
 // types, with multiplicity; the entity itself is excluded.
-func (v *VSim) profile(e hin.ObjectID) sparse.Vector {
+func (v *VSim) profile(e hin.ObjectID) sparse.Dist {
 	if p, ok := v.profiles[e]; ok {
 		return p
 	}
-	p := sparse.New()
 	schema := v.g.Schema()
 	for _, rel := range schema.RelationsFrom(v.entityType) {
 		for _, record := range v.g.Neighbors(rel, e) {
@@ -78,39 +81,53 @@ func (v *VSim) profile(e hin.ObjectID) sparse.Vector {
 					if obj == e {
 						continue
 					}
-					p.Add(int32(obj), 1)
+					v.acc.Add(int32(obj), 1)
 				}
 			}
 		}
 	}
+	p := v.acc.Dist()
+	v.acc.Reset()
 	v.profiles[e] = p
 	return p
 }
 
 // context builds the document's bag restricted to the selected types.
-func (v *VSim) context(doc *corpus.Document) sparse.Vector {
-	ctx := sparse.New()
+func (v *VSim) context(doc *corpus.Document) sparse.Dist {
 	for _, oc := range doc.Objects {
 		if v.wantType(v.g.TypeOf(oc.Object)) {
-			ctx.Set(int32(oc.Object), float64(oc.Count))
+			v.acc.Add(int32(oc.Object), float64(oc.Count))
 		}
 	}
+	ctx := v.acc.Dist()
+	v.acc.Reset()
 	return ctx
+}
+
+// cosine returns the cosine similarity of a and b, or 0 if either is
+// empty. Profiles and contexts hold integer counts, so every dot
+// product is exact and independent of summation order.
+func cosine(a, b sparse.Dist) float64 {
+	na, nb := math.Sqrt(a.Dot(a)), math.Sqrt(b.Dot(b))
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return a.Dot(b) / (na * nb)
 }
 
 // Link returns the candidate whose profile has the highest cosine
 // similarity with the document context. Ties (including the all-zero
 // case) break towards the lower entity ID.
 func (v *VSim) Link(doc *corpus.Document) (hin.ObjectID, error) {
-	cands := v.index.Candidates(doc.Mention)
+	cands := v.cands.Candidates(doc.Mention)
 	if len(cands) == 0 {
 		return hin.NoObject, fmt.Errorf("baselines: mention %q has no candidates", doc.Mention)
 	}
 	ctx := v.context(doc)
 	best := cands[0]
-	bestSim := ctx.Cosine(v.profile(cands[0]))
+	bestSim := cosine(ctx, v.profile(cands[0]))
 	for _, e := range cands[1:] {
-		if sim := ctx.Cosine(v.profile(e)); sim > bestSim {
+		if sim := cosine(ctx, v.profile(e)); sim > bestSim {
 			best, bestSim = e, sim
 		}
 	}

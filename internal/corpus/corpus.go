@@ -48,15 +48,6 @@ func (d *Document) TotalCount() int {
 	return n
 }
 
-// Bag returns the document's object counts as a sparse vector.
-func (d *Document) Bag() sparse.Vector {
-	v := sparse.NewWithCapacity(len(d.Objects))
-	for _, oc := range d.Objects {
-		v.Set(int32(oc.Object), float64(oc.Count))
-	}
-	return v
-}
-
 // NewDocument builds a Document from an unsorted, possibly duplicated
 // object list, normalising it to the sorted deduplicated form.
 func NewDocument(id, mention string, gold hin.ObjectID, objects []hin.ObjectID) *Document {
@@ -103,38 +94,53 @@ func (c *Corpus) Subset(n int) (*Corpus, error) {
 // document collection D". It smooths the entity-specific object model
 // so that observed objects never have zero probability.
 type GenericModel struct {
-	probs sparse.Vector
+	probs sparse.Dist
 }
 
 // EstimateGeneric builds the generic object model from a corpus. It
 // returns an error if the corpus contains no object occurrences at
-// all, since then no distribution exists.
+// all, since then no distribution exists. Counts are summed exactly
+// (they are integers) and each is then scaled by 1/total.
 func EstimateGeneric(c *Corpus) (*GenericModel, error) {
-	counts := sparse.New()
 	total := 0
+	var n hin.ObjectID
 	for _, d := range c.Docs {
 		for _, oc := range d.Objects {
-			counts.Add(int32(oc.Object), float64(oc.Count))
 			total += oc.Count
+			n = max(n, oc.Object+1)
 		}
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("corpus: cannot estimate generic model from %d documents with no objects", c.Len())
 	}
-	counts.Scale(1 / float64(total))
-	return &GenericModel{probs: counts}, nil
+	acc := sparse.NewAccum(int(n))
+	for _, d := range c.Docs {
+		for _, oc := range d.Objects {
+			acc.Add(int32(oc.Object), float64(oc.Count))
+		}
+	}
+	idx, counts := acc.Dist().Raw()
+	scale := 1 / float64(total)
+	probs := make([]float64, len(counts))
+	for k, x := range counts {
+		probs[k] = x * scale
+	}
+	d, err := sparse.NewDistFromRaw(idx, probs)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: generic model: %w", err)
+	}
+	return &GenericModel{probs: d}, nil
 }
 
-// GenericFromVector adopts a previously estimated probability vector
-// as a GenericModel — the binary-snapshot load path, which restores
-// the exact Pg estimated at build time instead of re-counting the
-// corpus. The vector is retained (not copied) and must not be
-// modified afterwards.
-func GenericFromVector(v sparse.Vector) (*GenericModel, error) {
-	if v.Len() == 0 {
+// GenericFromDist adopts a previously estimated probability
+// distribution as a GenericModel — the binary-snapshot load path,
+// which restores the exact Pg estimated at build time instead of
+// re-counting the corpus.
+func GenericFromDist(d sparse.Dist) (*GenericModel, error) {
+	if d.Len() == 0 {
 		return nil, fmt.Errorf("corpus: empty generic object model")
 	}
-	return &GenericModel{probs: v}, nil
+	return &GenericModel{probs: d}, nil
 }
 
 // Prob returns Pg(v). Objects never seen in the collection have
@@ -148,6 +154,6 @@ func (g *GenericModel) Prob(v hin.ObjectID) float64 {
 // probability.
 func (g *GenericModel) Support() int { return g.probs.Len() }
 
-// Vector returns the underlying probability vector (shared; do not
-// modify).
-func (g *GenericModel) Vector() sparse.Vector { return g.probs }
+// Dist returns the underlying probability distribution (immutable, so
+// safe to share).
+func (g *GenericModel) Dist() sparse.Dist { return g.probs }

@@ -24,19 +24,26 @@ func TestNewDocumentSortsAndDeduplicates(t *testing.T) {
 	if d.TotalCount() != 5 {
 		t.Errorf("TotalCount = %d, want 5", d.TotalCount())
 	}
-	bag := d.Bag()
-	if bag.Get(5) != 3 || bag.Get(1) != 1 {
-		t.Errorf("Bag = %v", bag)
+	if countOf(d, 5) != 3 || countOf(d, 1) != 1 {
+		t.Errorf("Objects = %+v", d.Objects)
 	}
+}
+
+// countOf returns the occurrence count of object o in d's bag (zero
+// if absent).
+func countOf(d *Document, o hin.ObjectID) int {
+	for _, oc := range d.Objects {
+		if oc.Object == o {
+			return oc.Count
+		}
+	}
+	return 0
 }
 
 func TestEmptyDocument(t *testing.T) {
 	d := NewDocument("d", "m", hin.NoObject, nil)
 	if d.TotalCount() != 0 || len(d.Objects) != 0 {
 		t.Errorf("empty document has objects: %+v", d)
-	}
-	if d.Bag().Len() != 0 {
-		t.Error("empty bag non-empty")
 	}
 }
 
@@ -80,7 +87,7 @@ func TestEstimateGeneric(t *testing.T) {
 	if g.Support() != 2 {
 		t.Errorf("Support = %d, want 2", g.Support())
 	}
-	if !g.Vector().IsDistribution(1e-12) {
+	if !g.Dist().IsDistribution(1e-12) {
 		t.Error("generic model is not a distribution")
 	}
 }
@@ -121,7 +128,7 @@ func TestCorpusSerializationRoundTrip(t *testing.T) {
 	if c2.Docs[0].Mention != "A Name" || c2.Docs[0].Gold != a {
 		t.Errorf("doc 0 = %+v", c2.Docs[0])
 	}
-	if got := c2.Docs[0].Bag().Get(int32(v)); got != 2 {
+	if got := countOf(c2.Docs[0], v); got != 2 {
 		t.Errorf("count(v) = %v, want 2", got)
 	}
 	if c2.Docs[1].Gold != hin.NoObject || c2.Docs[1].TotalCount() != 0 {

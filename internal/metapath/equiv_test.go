@@ -2,6 +2,7 @@ package metapath
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"shine/internal/sparse"
@@ -31,12 +32,12 @@ func TestWalkMatchesReferenceBitForBit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: ReferenceWalk: %v", seed, err)
 				}
-				if got.Len() != len(want) {
+				if got.Len() != want.Len() {
 					t.Fatalf("seed %d path %s e=%d k=%d: support %d vs reference %d",
-						seed, p, a, maxSupport, got.Len(), len(want))
+						seed, p, a, maxSupport, got.Len(), want.Len())
 				}
 				got.ForEach(func(i int32, x float64) {
-					if wx := want[i]; x != wx {
+					if wx := want.Get(i); x != wx {
 						t.Fatalf("seed %d path %s e=%d k=%d: [%d] = %v, reference %v (bit-for-bit)",
 							seed, p, a, maxSupport, i, x, wx)
 					}
@@ -73,11 +74,11 @@ func TestWalkMixtureDistMatchesVectorMixture(t *testing.T) {
 			}
 			refs := make([]sparse.Dist, len(paths))
 			for k, p := range paths {
-				rv, err := ReferenceWalk(g, a, p, 0)
+				ref, err := ReferenceWalk(g, a, p, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				refs[k] = sparse.Freeze(rv)
+				refs[k] = ref
 			}
 			want := sparse.MixDists(refs, weights)
 			if got.Len() != want.Len() {
@@ -93,10 +94,9 @@ func TestWalkMixtureDistMatchesVectorMixture(t *testing.T) {
 }
 
 // TestWalkCacheReturnsAreImmutableAliases: the walker hands every
-// caller the same frozen Dist backing arrays; corrupting a caller's
-// *thawed copy* must not leak back into the cache. (The Dist API is
-// read-only, so the only mutation surface is a Thaw'd map — verify the
-// cache is unaffected by mutating it.)
+// caller the same frozen Dist backing arrays, and the Dist API is
+// read-only. Corrupting the caller-owned copies that Indices and a
+// clone of Raw hand out must not leak back into the cache.
 func TestWalkCacheReturnsAreImmutableAliases(t *testing.T) {
 	d, g, authors := randomDBLP(3)
 	w := NewWalker(g, 64)
@@ -105,24 +105,31 @@ func TestWalkCacheReturnsAreImmutableAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutable := first.Thaw()
-	for i := range mutable {
-		mutable[i] = -1 // attack the thawed copy
+	idx := first.Indices()
+	_, raw := first.Raw()
+	val := slices.Clone(raw)
+	for k := range idx {
+		idx[k], val[k] = -1, -1 // attack the caller's copies
 	}
 	again, err := w.Walk(authors[0], p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if againIdx, _ := again.Raw(); len(againIdx) > 0 {
+		if firstIdx, _ := first.Raw(); &againIdx[0] != &firstIdx[0] {
+			t.Error("cache hit returned a fresh copy, want the shared frozen arrays")
+		}
+	}
 	ref, err := ReferenceWalk(g, authors[0], p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Len() != len(ref) {
-		t.Fatalf("cached support %d, want %d", again.Len(), len(ref))
+	if again.Len() != ref.Len() {
+		t.Fatalf("cached support %d, want %d", again.Len(), ref.Len())
 	}
 	again.ForEach(func(i int32, x float64) {
-		if x != ref[i] {
-			t.Fatalf("cache corrupted through a thawed copy: [%d] = %v, want %v", i, x, ref[i])
+		if x != ref.Get(i) {
+			t.Fatalf("cache corrupted through a caller's copy: [%d] = %v, want %v", i, x, ref.Get(i))
 		}
 	})
 }

@@ -222,10 +222,9 @@ func (w *Walker) checkWalk(e hin.ObjectID, p Path, maxSupport int) error {
 // Determinism: float addition is not associative, so the result
 // depends on the order mass is scattered. The kernel always visits
 // sources in ascending index order and each source's neighbours in
-// adjacency-list order — exactly the sequence the original map-backed
-// kernel used after sorting its frontier — so walks are bit-for-bit
-// reproducible across runs, worker counts, and both kernel
-// implementations (ReferenceWalk cross-checks this in tests).
+// adjacency-list order, so walks are bit-for-bit reproducible across
+// runs and worker counts. The map-backed reference kernel in the
+// package tests cross-checks this.
 func (w *Walker) computeWalk(ctx context.Context, e hin.ObjectID, p Path, maxSupport int) (sparse.Dist, error) {
 	cur := sparse.UnitDist(int32(e))
 	rels := p.Relations()
@@ -264,78 +263,15 @@ func (w *Walker) computeWalk(ctx context.Context, e hin.ObjectID, p Path, maxSup
 	return cur, nil
 }
 
-// ReferenceWalk computes Pe(v|p) with the original map-backed kernel,
-// without caching or pooling. It is retained as the oracle the CSR
-// kernel is cross-checked against (and benchmarked against in
-// BenchmarkWalkKernel); production code paths should use Walker.
-func ReferenceWalk(g *hin.Graph, e hin.ObjectID, p Path, maxSupport int) (sparse.Vector, error) {
-	w := Walker{g: g}
-	if err := w.checkWalk(e, p, maxSupport); err != nil {
-		return nil, err
-	}
-	cur := sparse.Unit(int32(e))
-	for _, rel := range p.Relations() {
-		next := sparse.NewWithCapacity(cur.Len())
-		// Expand the frontier in ascending index order, not map order,
-		// so the reference result is bit-for-bit reproducible.
-		for _, i := range cur.Indices() {
-			mass := cur[i]
-			v := hin.ObjectID(i)
-			deg := g.Degree(rel, v)
-			if deg == 0 {
-				continue
-			}
-			share := mass / float64(deg)
-			for _, dst := range g.Neighbors(rel, v) {
-				next.Add(int32(dst), share)
-			}
-		}
-		if maxSupport > 0 && next.Len() > maxSupport {
-			pruned := sparse.NewWithCapacity(maxSupport)
-			for _, entry := range next.Top(maxSupport) {
-				pruned.Set(entry.Index, entry.Value)
-			}
-			next = pruned
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-// WalkMixture returns the weighted combination Σ_p w_p · Pe(v|p)
+// WalkMixtureDist returns the weighted combination Σ_p w_p · Pe(v|p)
 // (Formula 12): the entity-specific object model for entity e under
-// the given path set and weight vector. The caller owns the returned
-// vector.
-func (w *Walker) WalkMixture(e hin.ObjectID, paths []Path, weights []float64) (sparse.Vector, error) {
-	return w.WalkMixturePruned(e, paths, weights, 0)
-}
-
-// WalkMixturePruned is WalkMixture with per-hop support pruning (see
-// WalkPruned).
-func (w *Walker) WalkMixturePruned(e hin.ObjectID, paths []Path, weights []float64, maxSupport int) (sparse.Vector, error) {
-	if len(paths) != len(weights) {
-		return nil, fmt.Errorf("metapath: %d paths with %d weights", len(paths), len(weights))
-	}
-	out := sparse.New()
-	for k, p := range paths {
-		if weights[k] == 0 {
-			continue
-		}
-		d, err := w.WalkPruned(e, p, maxSupport)
-		if err != nil {
-			return nil, err
-		}
-		d.ScaledAddTo(out, weights[k])
-	}
-	return out, nil
-}
-
-// WalkMixtureDist is WalkMixturePruned frozen: it accumulates the
-// weighted path distributions on a pooled dense accumulator and
-// returns an immutable Dist the caller may share freely. Per output
-// index, contributions are added in path order — the same sequence
-// as the map-backed mixture and as Model.logJoint's per-object path
-// loop — so all three agree bit-for-bit.
+// the given path set and weight vector, with per-hop support pruning
+// (see WalkPruned). It accumulates the weighted path distributions on
+// a pooled dense accumulator and returns an immutable Dist the caller
+// may share freely. Zero-weight paths are skipped. Per output index,
+// contributions are added in path order — the same sequence as
+// Model.logJoint's per-object path loop — so the two agree
+// bit-for-bit.
 func (w *Walker) WalkMixtureDist(e hin.ObjectID, paths []Path, weights []float64, maxSupport int) (sparse.Dist, error) {
 	return w.WalkMixtureDistContext(context.Background(), e, paths, weights, maxSupport)
 }

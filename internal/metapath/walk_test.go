@@ -167,25 +167,25 @@ func TestWalkMixture(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
 	paths := []Path{MustParse(d.Schema, "A-P-V"), MustParse(d.Schema, "A-P-A")}
-	mix, err := w.WalkMixture(ids["wei"], paths, []float64{0.5, 0.5})
+	mix, err := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 0)
 	if err != nil {
-		t.Fatalf("WalkMixture: %v", err)
+		t.Fatalf("WalkMixtureDist: %v", err)
 	}
 	apv, _ := w.Walk(ids["wei"], paths[0])
 	apa, _ := w.Walk(ids["wei"], paths[1])
-	want := sparse.Mix([]sparse.Vector{apv.Thaw(), apa.Thaw()}, []float64{0.5, 0.5})
+	want := sparse.MixDists([]sparse.Dist{apv, apa}, []float64{0.5, 0.5})
 	if !mix.Equal(want, 1e-12) {
 		t.Errorf("mixture = %v, want %v", mix, want)
 	}
 	// Zero-weight paths must be skipped entirely.
-	onlyAPV, err := w.WalkMixture(ids["wei"], paths, []float64{1, 0})
+	onlyAPV, err := w.WalkMixtureDist(ids["wei"], paths, []float64{1, 0}, 0)
 	if err != nil {
-		t.Fatalf("WalkMixture: %v", err)
+		t.Fatalf("WalkMixtureDist: %v", err)
 	}
-	if !onlyAPV.Equal(apv.Thaw(), 1e-12) {
+	if onlyAPV.Len() != apv.Len() || !onlyAPV.Equal(apv, 1e-12) {
 		t.Error("zero-weight path contributed mass")
 	}
-	if _, err := w.WalkMixture(ids["wei"], paths, []float64{1}); err == nil {
+	if _, err := w.WalkMixtureDist(ids["wei"], paths, []float64{1}, 0); err == nil {
 		t.Error("mismatched weights accepted")
 	}
 }
@@ -353,11 +353,11 @@ func TestWalkMixturePruned(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 64)
 	paths := []Path{MustParse(d.Schema, "A-P-V"), MustParse(d.Schema, "A-P-A-P-V")}
-	mix, err := w.WalkMixturePruned(ids["wei"], paths, []float64{0.5, 0.5}, 1)
+	mix, err := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactMix, _ := w.WalkMixture(ids["wei"], paths, []float64{0.5, 0.5})
+	exactMix, _ := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 0)
 	if mix.Sum() > exactMix.Sum()+1e-12 {
 		t.Error("pruned mixture mass exceeds exact")
 	}

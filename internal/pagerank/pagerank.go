@@ -22,8 +22,8 @@
 // write contention (each worker writes only its own vertex range).
 // The dangling-mass and convergence-delta sums use blocked fixed-order
 // reductions (internal/par), so the score vector is bit-for-bit
-// identical for any worker count. ReferenceCompute retains the
-// original edge-push kernel as a testing oracle.
+// identical for any worker count. The package tests keep the original
+// edge-push kernel as the oracle Compute is checked against.
 package pagerank
 
 import (
@@ -222,12 +222,13 @@ func (k *kernel) iterate(pr, next, resid []float64) float64 {
 
 // Compute runs pull-based power iteration over the whole graph and
 // returns the PageRank score of every object. The result is
-// bit-identical for any Options.Workers value and matches
-// ReferenceCompute up to floating-point summation-order differences
-// (≤ ~1e-12 in practice; the equivalence tests pin 1e-9 L∞). With
-// Options.Warm set the iteration starts from the supplied vector
-// instead of the uniform one and typically converges in far fewer
-// sweeps; Refine adds a push-based refinement on top for small deltas.
+// bit-identical for any Options.Workers value and matches the
+// edge-push reference kernel up to floating-point summation-order
+// differences (≤ ~1e-12 in practice; the equivalence tests pin 1e-9
+// L∞). With Options.Warm set the iteration starts from the supplied
+// vector instead of the uniform one and typically converges in far
+// fewer sweeps; Refine adds a push-based refinement on top for small
+// deltas.
 func Compute(g *hin.Graph, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -253,67 +254,6 @@ func Compute(g *hin.Graph, opts Options) (*Result, error) {
 	res := &Result{}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		delta := k.iterate(pr, next, nil)
-		pr, next = next, pr
-		res.Iterations = iter + 1
-		res.Delta = delta
-		if delta < opts.Tolerance {
-			res.Converged = true
-			break
-		}
-	}
-	res.Scores = pr
-	return res, nil
-}
-
-// ReferenceCompute is the original serial edge-push kernel, retained
-// as the testing oracle for Compute (the metapath.ReferenceWalk
-// pattern): it visits every directed link through Graph.ForEachLink
-// and scatters pr[src]/N_src into next[dst]. The pull kernel must
-// match it within tight floating-point tolerance on any graph; the
-// two differ only in per-vertex summation order.
-func ReferenceCompute(g *hin.Graph, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	n := g.NumObjects()
-	if n == 0 {
-		return nil, errors.New("pagerank: empty graph")
-	}
-
-	// Precompute out-degrees once; they are the column norms of B.
-	outDeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		outDeg[v] = g.TotalDegree(hin.ObjectID(v))
-	}
-
-	initial := 1.0 / float64(n)
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	for v := range pr {
-		pr[v] = initial
-	}
-
-	res := &Result{}
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		// Mass from dangling objects is spread uniformly.
-		dangling := 0.0
-		for v := 0; v < n; v++ {
-			if outDeg[v] == 0 {
-				dangling += pr[v]
-			}
-		}
-		base := opts.Lambda*initial + (1-opts.Lambda)*dangling/float64(n)
-		for v := range next {
-			next[v] = base
-		}
-		g.ForEachLink(func(_ hin.RelationID, src, dst hin.ObjectID) {
-			next[dst] += (1 - opts.Lambda) * pr[src] / float64(outDeg[src])
-		})
-
-		delta := 0.0
-		for v := range pr {
-			delta += math.Abs(next[v] - pr[v])
-		}
 		pr, next = next, pr
 		res.Iterations = iter + 1
 		res.Delta = delta

@@ -71,10 +71,10 @@ type Model struct {
 	// trie in trie, but replaceable via SetCandidateSource. trie keeps
 	// the concrete pointer for snapshotting and is nil when a custom
 	// source is installed.
-	cands  CandidateSource
-	trie   *surftrie.Trie
-	walker *metapath.Walker
-	generic      *corpus.GenericModel
+	cands   CandidateSource
+	trie    *surftrie.Trie
+	walker  *metapath.Walker
+	generic *corpus.GenericModel
 	// metrics, when non-nil, instruments link and EM hot paths; see
 	// SetMetrics.
 	metrics *modelMetrics

@@ -44,7 +44,7 @@ type Parts struct {
 	// treated as the then-only backend, "pagerank".
 	Centrality string
 	// Generic is the corpus-wide object model Pg.
-	Generic sparse.Vector
+	Generic sparse.Dist
 	// Mixtures is the frozen per-candidate mixture index, sorted by
 	// ascending entity ID. May be empty: the index refills lazily.
 	Mixtures []MixtureEntry
@@ -82,7 +82,7 @@ func (m *Model) Parts() Parts {
 		PRSeconds:    m.prSeconds,
 		PRIterations: m.prIterations,
 		Centrality:   m.cfg.CentralityName(),
-		Generic:      m.generic.Vector(),
+		Generic:      m.generic.Dist(),
 		Mixtures:     m.mixtures.snapshotEntries(ver),
 		Trie:         m.trie,
 	}
@@ -150,7 +150,7 @@ func FromParts(p Parts) (*Model, error) {
 		pop[e] = s
 	}
 
-	gen, err := corpus.GenericFromVector(p.Generic)
+	gen, err := corpus.GenericFromDist(p.Generic)
 	if err != nil {
 		return nil, fmt.Errorf("shine: FromParts: %w", err)
 	}

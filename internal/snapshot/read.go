@@ -411,7 +411,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		PRSeconds:    meta.PRSeconds,
 		PRIterations: meta.PRIterations,
 		Centrality:   meta.Centrality,
-		Generic:      gdist.Thaw(),
+		Generic:      gdist,
 		Mixtures:     mixtures,
 		Trie:         trie,
 	}

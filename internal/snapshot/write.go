@@ -10,7 +10,6 @@ import (
 
 	"shine/internal/hin"
 	"shine/internal/shine"
-	"shine/internal/sparse"
 	"shine/internal/surftrie"
 )
 
@@ -140,7 +139,7 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	add(secWeights, w)
 
 	// Section 7: generic object model as a frozen sparse pair.
-	gidx, gval := sparse.Freeze(p.Generic).Raw()
+	gidx, gval := p.Generic.Raw()
 	gen := appendU32(nil, uint32(len(gidx)))
 	gen = appendI32s(gen, gidx)
 	gen = appendF64s(gen, gval)

@@ -1,3 +1,10 @@
+// Package sparse provides the sparse float64 distributions over int32
+// object IDs that SHINE's arithmetic runs on. The distribution
+// Pe(v|p) of observing each object v after walking meta-path p from an
+// entity e, and the generic object model Pg(v), each touch only a tiny
+// fraction of the network's objects. Both are held as a Dist: an
+// immutable pair of sorted index and value arrays, built through the
+// dense scatter-gather Accum.
 package sparse
 
 import (
@@ -11,9 +18,8 @@ import (
 
 // Dist is an immutable sparse distribution in CSR-style layout:
 // parallel arrays of strictly ascending int32 indices and their
-// non-zero float64 values. It stores the same information as a Vector
-// but without per-entry hashing: lookups are binary searches, scans
-// are cache-friendly array walks, and the footprint per entry is 12
+// non-zero float64 values. Lookups are binary searches, scans are
+// cache-friendly array walks, and the footprint per entry is 12
 // bytes plus no bucket overhead — the representation PathSim-style
 // meta-path engines use for frozen walk statistics.
 //
@@ -24,37 +30,6 @@ import (
 type Dist struct {
 	idx []int32
 	val []float64
-}
-
-// Freeze converts a map-backed Vector into a Dist. Entries whose
-// value is exactly zero are dropped (a Vector built through Set/Add
-// never stores them, but a literal might). The input is not retained.
-func Freeze(v Vector) Dist {
-	if len(v) == 0 {
-		return Dist{}
-	}
-	idx := make([]int32, 0, len(v))
-	for i, x := range v {
-		if x != 0 {
-			idx = append(idx, i)
-		}
-	}
-	slices.Sort(idx)
-	val := make([]float64, len(idx))
-	for k, i := range idx {
-		val[k] = v[i]
-	}
-	return Dist{idx: idx, val: val}
-}
-
-// Thaw converts the Dist back into a map-backed Vector. The result is
-// freshly allocated and owned by the caller.
-func (d Dist) Thaw() Vector {
-	v := make(Vector, len(d.idx))
-	for k, i := range d.idx {
-		v[i] = d.val[k]
-	}
-	return v
 }
 
 // UnitDist returns the distribution with a single entry of 1 at index
@@ -136,17 +111,6 @@ func (d Dist) Dot(e Dist) float64 {
 	return s
 }
 
-// ScaledAddTo accumulates c·d into the map-backed vector v, visiting
-// entries in ascending index order.
-func (d Dist) ScaledAddTo(v Vector, c float64) {
-	if c == 0 {
-		return
-	}
-	for k, i := range d.idx {
-		v.Add(i, c*d.val[k])
-	}
-}
-
 // ForEach calls fn for every entry in ascending index order.
 func (d Dist) ForEach(fn func(i int32, x float64)) {
 	for k, i := range d.idx {
@@ -155,7 +119,7 @@ func (d Dist) ForEach(fn func(i int32, x float64)) {
 }
 
 // Top returns the n largest entries in descending value order (ties
-// broken by ascending index) — the same selection rule as Vector.Top.
+// broken by ascending index).
 func (d Dist) Top(n int) []Entry {
 	entries := make([]Entry, len(d.idx))
 	for k, i := range d.idx {
@@ -168,9 +132,15 @@ func (d Dist) Top(n int) []Entry {
 	return entries
 }
 
+// Entry is one (index, value) pair of a sparse distribution.
+type Entry struct {
+	Index int32
+	Value float64
+}
+
 // compareTopEntries orders entries by descending value, ties broken
-// by ascending index — the shared selection rule of Vector.Top,
-// Dist.Top and Accum.TopDist.
+// by ascending index — the shared selection rule of Dist.Top and
+// Accum.TopDist.
 func compareTopEntries(a, b Entry) int {
 	switch {
 	case a.Value > b.Value:
@@ -298,11 +268,11 @@ func (d Dist) String() string {
 	return b.String()
 }
 
-// MixDists returns Σ c_k · ds_k as a frozen Dist: the CSR counterpart
-// of Mix. For every output index, contributions are accumulated in
-// slice order k — the same per-index addition sequence as the
-// map-backed Mix — so the two agree bit-for-bit. len(cs) must equal
-// len(ds).
+// MixDists returns Σ c_k · ds_k as a frozen Dist: the weighted
+// combination Pe(v) = Σ_p w_p Pe(v|p) (Formula 12 of the paper). For
+// every output index, contributions are accumulated in slice order k,
+// so the result is the same bit for bit as adding the terms in path
+// order. len(cs) must equal len(ds).
 func MixDists(ds []Dist, cs []float64) Dist {
 	if len(ds) != len(cs) {
 		panic(fmt.Sprintf("sparse: MixDists with %d distributions and %d coefficients", len(ds), len(cs)))
@@ -403,8 +373,7 @@ func (a *Accum) sortTouched() {
 }
 
 // Dist freezes the accumulated values into a new immutable Dist,
-// dropping entries that cancelled to exactly zero (matching Vector's
-// Add semantics, which delete them). The accumulator is left intact;
+// dropping entries that cancelled to exactly zero. The accumulator is left intact;
 // call Reset to reuse it.
 func (a *Accum) Dist() Dist {
 	a.sortTouched()
@@ -426,8 +395,7 @@ func (a *Accum) Dist() Dist {
 }
 
 // TopDist freezes only the n largest accumulated entries (descending
-// value, ties broken by ascending index — Vector.Top's selection
-// rule) into a Dist. This is the support-pruning path of the walk
+// value, ties broken by ascending index) into a Dist. This is the support-pruning path of the walk
 // kernel.
 func (a *Accum) TopDist(n int) Dist {
 	a.sortTouched()

@@ -70,7 +70,7 @@ type bnode struct {
 func (n *bnode) terminal() bool { return len(n.primary)+len(n.alias) > 0 }
 
 // Build indexes the names of every object of entityType in g, exactly
-// the population namematch.BuildIndex indexes: objects whose names
+// the population the reference namematch.Index covers: objects whose names
 // parse to nothing are skipped, everything else is inserted under its
 // canonical "last\x00first" key plus a folded alias key when folding
 // changes it. Build is deterministic: the same graph always freezes

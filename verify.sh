@@ -6,14 +6,20 @@ set -eux
 cd "$(dirname "$0")"
 go build ./...
 go vet ./...
+# Formatting gate: every tracked Go file must be gofmt-clean.
+UNFORMATTED=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$UNFORMATTED" ]; then
+  echo "gofmt needed on: $UNFORMATTED" >&2; exit 1
+fi
 go test -race ./...
 # Smoke the serving-path, offline-pipeline, snapshot, candidate-index,
 # streaming, incremental-update, centrality-backend, ingestion and
-# annotation benchmarks (one iteration each) so they cannot rot between
-# perf PRs; real numbers live in BENCH_link.json, BENCH_offline.json,
-# BENCH_snapshot.json, BENCH_candidates.json, BENCH_stream.json,
-# BENCH_incremental.json and BENCH_centrality.json.
-go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality|Ingest|Annotate' -benchtime=1x .
+# annotation benchmarks, and the reference-kernel benchmarks beside the
+# pagerank and metapath oracles (one iteration each), so they cannot
+# rot between perf PRs; real numbers live in BENCH_link.json,
+# BENCH_offline.json, BENCH_snapshot.json, BENCH_candidates.json,
+# BENCH_stream.json, BENCH_incremental.json and BENCH_centrality.json.
+go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality|Ingest|Annotate|WalkKernel' -benchtime=1x . ./internal/pagerank ./internal/metapath
 # Centrality-backend contract: the four-backend comparison harness
 # (McNemar against the pagerank baseline) must keep its shape.
 go test -run TestCentralityComparisonShape ./internal/experiments/
